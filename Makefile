@@ -4,16 +4,17 @@
 PYTHON ?= python
 EXAMPLES := quickstart text_to_vis_pipeline chart_captioning fevisqa_assistant dataset_report calibrate_checkpoint trace_request
 
-.PHONY: test test-fast test-streaming test-chaos bench bench-decode bench-continuous bench-serving bench-deploy bench-scale bench-corpus bench-obs calibrate-demo trace-demo smoke ci install docs check-docs help
+.PHONY: test test-fast test-streaming test-chaos test-perfbench bench bench-decode bench-continuous bench-serving bench-deploy bench-scale bench-corpus bench-obs calibrate-demo trace-demo smoke ci install docs check-docs help
 
 help:
 	@echo "make test          - tier-1 verification: full test + benchmark suite (pytest -x -q)"
 	@echo "make test-fast     - tests/ only, without the process-killing chaos suite (pytest tests -m 'not chaos')"
 	@echo "make test-streaming - streaming + corpus-QA equivalence suites only (chunk protocol, reassembly-equals-sync, differential retrieval)"
 	@echo "make test-chaos    - sharded-tier chaos suite only, bounded by a 900s watchdog (pytest -m chaos)"
+	@echo "make test-perfbench - the serving benchmark's own tests (perfbench/, smoke size; outside tier-1 testpaths)"
 	@echo "make bench         - benchmark harness only (paper tables I-XII at smoke scale)"
 	@echo "make bench-decode  - decode + precision benchmark -> BENCH_decode.json + BENCH_quant_policy.json (fails if cached decode is slower than naive, fp32 slower than fp64, fp32 agreement < 99%, calibrated int8 agreement < 99%, int8 speedup < 1.5x, or int8 compression < 6x)"
-	@echo "make bench-continuous - continuous-batching benchmark -> BENCH_continuous.json (fails if continuous tokens/sec < static batching, short-request p50 improves < 1.5x, or any output diverges from the naive oracle)"
+	@echo "make bench-continuous - continuous-batching benchmark -> BENCH_continuous.json (fails if continuous tokens/sec < static batching, short-request p50 improves < 1.5x, or any output diverges from the naive oracle or, in the record-only uniform-budget paged vs lock-step section, from lock-step)"
 	@echo "make bench-serving - serving-under-load + precision-sweep benchmark -> BENCH_serving.json (fails if the async server is slower than sync Pipeline.serve, or calibrated int8 serving agreement < 99%)"
 	@echo "make calibrate-demo - run the int8 calibration walkthrough (examples/calibrate_checkpoint.py)"
 	@echo "make bench-deploy  - deployment-lifecycle benchmark -> BENCH_deploy.json (fails if a hot swap drops/errors/misroutes a request, incumbent outputs change, canary routing is non-deterministic, or shadow agreement < 1.0)"
@@ -46,6 +47,12 @@ test-streaming:
 # fail, so the watchdog turns that hang into a hard failure.
 test-chaos:
 	PYTHONPATH=src timeout 900 $(PYTHON) -m pytest tests -q -m chaos
+
+# The serving benchmark (perfbench/, see perfbench/README.md) imports and
+# patches serving internals by name; its own smoke-size tests catch an API
+# change that would break it.  It sits outside tier-1's testpaths.
+test-perfbench:
+	$(PYTHON) -m pytest perfbench -q
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q

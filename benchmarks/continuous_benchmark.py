@@ -20,6 +20,18 @@ Three gated sections, written to ``BENCH_continuous.json``:
   ``generate(use_cache=False)`` decode.  Scheduling is a latency/throughput
   optimisation, never a numerics change.
 
+One record-only section rides along:
+
+* **uniform** — at batch sizes B = 4 and 32, B requests with the same
+  ``--long-budget`` decoded by the paged continuous loop (B slots) and by
+  lock-step ``generate(use_cache=True)`` on the whole batch; the median of
+  three interleaved timings each, and
+  ``paged_vs_lockstep`` = lock-step seconds / paged seconds (above 1 means
+  the paged path is faster).  This is the number that decides whether
+  lock-step greedy decoding can be routed through the paged batch.  The
+  outputs of the two paths must be equal (that part fails the run); the
+  speed is not gated.
+
 Run it via ``make bench-continuous`` or directly::
 
     PYTHONPATH=src python benchmarks/continuous_benchmark.py --output BENCH_continuous.json
@@ -194,6 +206,38 @@ def run_open_loop_static(
     return records
 
 
+#: Batch sizes and interleaved repeats of the record-only uniform section.
+UNIFORM_SIZES = (4, 32)
+UNIFORM_REPEATS = 3
+
+
+def measure_uniform(model: T5Model, args: argparse.Namespace, rng: np.random.Generator, size: int) -> dict:
+    """Paged continuous vs lock-step decoding of ``size`` equal-budget requests."""
+    rows = rng.integers(4, args.vocab_size, size=(size, args.input_length)).astype(np.int64)
+    paged_seconds, lockstep_seconds = [], []
+    for _ in range(UNIFORM_REPEATS):
+        loop = ContinuousDecodeLoop(model, max_slots=size, page_size=args.page_size)
+        start = time.perf_counter()
+        paged = loop.run(list(rows), max_length=args.long_budget)
+        paged_seconds.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        lockstep = model.generate(rows, max_length=args.long_budget, use_cache=True)
+        lockstep_seconds.append(time.perf_counter() - start)
+    tokens = size * args.long_budget
+    paged_median = float(np.median(paged_seconds))
+    lockstep_median = float(np.median(lockstep_seconds))
+    return {
+        "batch_size": size,
+        "budget": args.long_budget,
+        "paged_seconds": round(paged_median, 6),
+        "lockstep_seconds": round(lockstep_median, 6),
+        "paged_tokens_per_sec": round(tokens / paged_median, 2),
+        "lockstep_tokens_per_sec": round(tokens / lockstep_median, 2),
+        "paged_vs_lockstep": round(lockstep_median / paged_median, 3),
+        "outputs_equal": bool(all(np.array_equal(out, ref) for out, ref in zip(paged, lockstep))),
+    }
+
+
 def percentile_ms(latencies: list[float], q: float) -> float:
     """The q-th percentile of ``latencies`` (seconds) in milliseconds.
 
@@ -282,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
             "mean_ms": percentile_ms([record["latency_s"] for record in records], 50),
         }
 
+    # -- record-only: paged continuous vs lock-step at uniform budgets ------------------
+    uniform = [measure_uniform(model, args, rng, size) for size in UNIFORM_SIZES]
+    uniform_equal = all(entry["outputs_equal"] for entry in uniform)
+
     static_latency = summarize(static_records)
     continuous_latency = summarize(continuous_records)
     improvement = static_latency["short_p50_ms"] / max(continuous_latency["short_p50_ms"], 1e-9)
@@ -310,11 +358,13 @@ def main(argv: list[str] | None = None) -> int:
         "page_size": args.page_size,
         "throughput": throughput,
         "latency": latency,
+        "uniform": uniform,
         "equivalence": {
             "burst_sequences": len(burst),
             "trace_sequences": len(continuous_records),
             "continuous_matches_naive_oracle": bool(burst_equal and trace_equal),
             "static_matches_naive_oracle": bool(static_equal),
+            "uniform_paged_matches_lockstep": uniform_equal,
         },
         "scheduler": loop_stats,
     }
@@ -331,6 +381,12 @@ def main(argv: list[str] | None = None) -> int:
         f"continuous {continuous_latency['short_p50_ms']:>8.1f} ms | "
         f"improvement {improvement:.2f}x (required {args.latency_factor:.1f}x)"
     )
+    for entry in uniform:
+        print(
+            f"   uniform: B={entry['batch_size']:<3d} paged {entry['paged_tokens_per_sec']:>8.1f} tok/s | "
+            f"lock-step {entry['lockstep_tokens_per_sec']:>8.1f} tok/s | "
+            f"paged/lock-step {entry['paged_vs_lockstep']:.2f}x (record-only)"
+        )
     print(
         f"equivalence: continuous==naive {results['equivalence']['continuous_matches_naive_oracle']} | "
         f"static==naive {results['equivalence']['static_matches_naive_oracle']}"
@@ -349,6 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     if not (burst_equal and trace_equal):
         failures.append("equivalence: a continuous output diverged from its solo use_cache=False oracle")
+    if not uniform_equal:
+        failures.append("equivalence: a paged output diverged from lock-step generate(use_cache=True)")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -8,8 +8,15 @@ from repro.errors import ModelConfigError
 from repro.nn import functional as F
 from repro.nn.decode_cache import KVState
 from repro.nn.layers import Dropout, Linear, Module, Parameter
-from repro.nn.tensor import Tensor, grad_enabled
+from repro.nn.tensor import Tensor, compute_dtype, grad_enabled
 from repro.utils.rng import seeded_rng
+
+#: Byte budget of one :class:`RelativePositionBias` module's inference memo.
+#: Decode-step rows are a few KB each; an encoder's ``(T, T)`` bias is
+#: ``8 * heads * T**2`` bytes in float64 (1.6 MB at 8 heads and T=160), so
+#: the budget keeps the biases of the last few source lengths (at least the
+#: newest), oldest entry first out.
+BIAS_MEMO_BYTES = 2 << 20
 
 
 class RelativePositionBias(Module):
@@ -62,6 +69,11 @@ class RelativePositionBias(Module):
         result = result + np.where(is_small, relative_position, relative_if_large)
         return result
 
+    def _buckets(self, query_length: int, key_length: int, query_offset: int) -> np.ndarray:
+        context_position = np.arange(query_offset, query_offset + query_length)[:, None]
+        memory_position = np.arange(key_length)[None, :]
+        return self._bucket(memory_position - context_position)
+
     def forward(self, query_length: int, key_length: int, query_offset: int = 0) -> Tensor:
         """Return a bias tensor of shape ``(1, num_heads, query_length, key_length)``.
 
@@ -69,13 +81,55 @@ class RelativePositionBias(Module):
         ``offset .. offset + query_length`` — incremental decoding uses it to
         get the bias row of the newest token only, which is bitwise the same
         as the corresponding row of the full ``(key_length, key_length)`` bias.
+        In eval mode under :func:`~repro.nn.tensor.no_grad` the values come
+        from the :meth:`bias_array` memo; otherwise the lookup is recorded
+        on the autograd graph.
         """
-        context_position = np.arange(query_offset, query_offset + query_length)[:, None]
-        memory_position = np.arange(key_length)[None, :]
-        relative_position = memory_position - context_position
-        buckets = self._bucket(relative_position)
-        bias = self.embedding.embedding_lookup(buckets)  # (Q, K, H)
-        return bias.transpose((2, 0, 1)).reshape(1, self.num_heads, query_length, key_length)
+        if self.training or grad_enabled():
+            bias = self.embedding.embedding_lookup(self._buckets(query_length, key_length, query_offset))  # (Q, K, H)
+            return bias.transpose((2, 0, 1)).reshape(1, self.num_heads, query_length, key_length)
+        return Tensor(self.bias_array(query_length, key_length, query_offset))
+
+    def bias_array(self, query_length: int, key_length: int, query_offset: int = 0) -> np.ndarray:
+        """:meth:`forward`'s values as a plain array in the compute dtype.
+
+        In eval mode under :func:`~repro.nn.tensor.no_grad` the result is
+        memoized per ``(query_length, key_length, query_offset, dtype)``:
+        decoding asks for the same rows every step and admission for the
+        same ``(T, T)`` encoder bias every request.  The memo lives beside
+        the module's reduced-precision weight casts, so it is dropped with
+        them — on train/eval transitions (which bracket optimizer steps) and
+        by :meth:`~repro.nn.layers.Module.invalidate_cast_caches` — and it is
+        keyed by the identity of the embedding's data, so a reassigned table
+        (``load_state_dict``) misses.  Callers must not write into the
+        returned array.
+        """
+        dtype = compute_dtype()
+        if self.training or grad_enabled():
+            return self._compute_bias(query_length, key_length, query_offset, dtype)
+        cache = self.__dict__.setdefault("_cast_cache", {})
+        memo = cache.get("position_bias")
+        if memo is None or memo[0] is not self.embedding.data:
+            memo = cache["position_bias"] = (self.embedding.data, {})
+        entries = memo[1]
+        key = (query_length, key_length, query_offset, dtype)
+        bias = entries.get(key)
+        if bias is None:
+            bias = entries[key] = self._compute_bias(query_length, key_length, query_offset, dtype)
+            # Evict oldest-first over a snapshot: serving threads may share
+            # the module, and only single dict operations are atomic.
+            size = sum(entry.nbytes for entry in list(entries.values()))
+            for old in list(entries):
+                if size <= BIAS_MEMO_BYTES or old == key:
+                    break
+                evicted = entries.pop(old, None)
+                size -= 0 if evicted is None else evicted.nbytes
+        return bias
+
+    def _compute_bias(self, query_length: int, key_length: int, query_offset: int, dtype) -> np.ndarray:
+        bias = self.embedding.data[self._buckets(query_length, key_length, query_offset)]  # (Q, K, H)
+        bias = bias.transpose((2, 0, 1)).reshape(1, self.num_heads, query_length, key_length)
+        return np.asarray(bias, dtype=dtype)
 
 
 class MultiHeadAttention(Module):
@@ -101,11 +155,11 @@ class MultiHeadAttention(Module):
         self.out_proj = Linear(d_model, d_model, bias=False, seed=rng)
         self.dropout = Dropout(dropout, seed=rng)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
+    def _split_heads(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
         batch, length, _ = x.shape
         return x.reshape(batch, length, self.num_heads, self.head_dim).transpose((0, 2, 1, 3))
 
-    def _merge_heads(self, x: Tensor) -> Tensor:
+    def _merge_heads(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
         batch, heads, length, head_dim = x.shape
         return x.transpose((0, 2, 1, 3)).reshape(batch, length, heads * head_dim)
 
@@ -179,42 +233,43 @@ class MultiHeadAttention(Module):
 
     # -- paged continuous-decode fast path ---------------------------------------------
     # Continuous batching attends each sequence over its *own* exact-length
-    # K/V history (gathered from arena pages), because padding histories to a
-    # common length changes numpy's pairwise-summation grouping and breaks
-    # bitwise equality with the solo decode.  Everything except the
-    # score/softmax/value core stays batched across rows — those ops are
-    # row-stable (per-row M=1 gemms), so slicing a row out of the batched
-    # projections is bitwise-identical to projecting it alone.
+    # K/V history, because padding histories to a common length changes
+    # numpy's pairwise-summation grouping and breaks bitwise equality with
+    # the solo decode.  Everything except the score/softmax/value core stays
+    # batched across rows — those ops are row-stable (per-row M=1 gemms), so
+    # slicing a row out of the batched projections is bitwise-identical to
+    # projecting it alone.  These methods work in array mode (see
+    # :mod:`repro.nn.layers`): plain ndarrays in and out, the Tensor
+    # forward's op sequence, no autograd wrappers.
 
-    def decode_step_qkv(self, hidden: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    def _require_no_grad(self, method: str) -> None:
+        if grad_enabled():
+            raise ModelConfigError(f"{method} is a decode-only fast path; run it under no_grad()")
+
+    def decode_step_qkv(self, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Project one decode step's batched hidden states into Q/K/V heads.
 
-        ``hidden`` is ``(rows, 1, d_model)`` — one new token per row.  Returns
-        the split-head query tensor ``(rows, heads, 1, head_dim)`` plus raw
-        numpy K/V of the same shape, ready to be appended into each row's
-        :class:`~repro.nn.decode_cache.PagedSequence`.  Decode-only: requires
-        :func:`~repro.nn.tensor.no_grad`.
+        ``hidden`` is a ``(rows, 1, d_model)`` array — one new token per
+        row.  Returns the split-head query, key and value arrays, each
+        ``(rows, heads, 1, head_dim)``; K/V are ready to be appended into
+        each row's :class:`~repro.nn.decode_cache.PagedSequence`.
+        Decode-only: requires :func:`~repro.nn.tensor.no_grad`.
         """
-        if grad_enabled():
-            raise ModelConfigError(
-                "decode_step_qkv is a decode-only fast path; run it under no_grad()"
-            )
-        q = self._split_heads(self.q_proj(hidden))
-        k = self._split_heads(self.k_proj(hidden)).numpy()
-        v = self._split_heads(self.v_proj(hidden)).numpy()
-        return q, k, v
+        self._require_no_grad("decode_step_qkv")
+        return (
+            self._split_heads(self.q_proj(hidden)),
+            self._split_heads(self.k_proj(hidden)),
+            self._split_heads(self.v_proj(hidden)),
+        )
 
-    def decode_step_query(self, hidden: Tensor) -> Tensor:
+    def decode_step_query(self, hidden: np.ndarray) -> np.ndarray:
         """Project only the split-head queries of one decode step.
 
         The cross-attention half of a continuous-decode step reuses K/V
         projected at admission, so unlike :meth:`decode_step_qkv` there is
-        nothing to project but the query.  Decode-only.
+        nothing to project but the query.  Array mode, decode-only.
         """
-        if grad_enabled():
-            raise ModelConfigError(
-                "decode_step_query is a decode-only fast path; run it under no_grad()"
-            )
+        self._require_no_grad("decode_step_query")
         return self._split_heads(self.q_proj(hidden))
 
     def project_static_kv(self, states: Tensor) -> tuple[np.ndarray, np.ndarray]:
@@ -225,10 +280,7 @@ class MultiHeadAttention(Module):
         this once per admitted sequence and stores the result beside its page
         table.  Decode-only.
         """
-        if grad_enabled():
-            raise ModelConfigError(
-                "project_static_kv is a decode-only fast path; run it under no_grad()"
-            )
+        self._require_no_grad("project_static_kv")
         return (
             self._split_heads(self.k_proj(states)).numpy(),
             self._split_heads(self.v_proj(states)).numpy(),
@@ -236,37 +288,36 @@ class MultiHeadAttention(Module):
 
     def attend_rows(
         self,
-        q: Tensor,
+        q: np.ndarray,
         keys: list[np.ndarray],
         values: list[np.ndarray],
         masks: list[np.ndarray | None] | None = None,
-        position_biases: list[Tensor | None] | None = None,
-    ) -> Tensor:
+        position_biases: list[np.ndarray | None] | None = None,
+    ) -> np.ndarray:
         """Attend each query row over its own (per-row length) K/V history.
 
-        ``q`` is the ``(rows, heads, 1, head_dim)`` split-head query batch;
+        ``q`` is the ``(rows, heads, 1, head_dim)`` split-head query array;
         ``keys[i]``/``values[i]`` are row ``i``'s ``(1, heads, length_i,
-        head_dim)`` history (a :meth:`PagedSequence.view` gather, or a stored
-        cross-attention projection).  ``masks[i]`` is a boolean keep mask
-        broadcastable to ``(1, 1, 1, length_i)`` or ``None``; likewise
-        ``position_biases[i]``.  The per-row core runs the exact op sequence
-        of :meth:`forward` — scale, bias, mask fill, softmax, dropout, value
-        mix — so each row's output is bitwise what that row would get
-        decoding alone.  Returns the merged, output-projected
-        ``(rows, 1, d_model)`` tensor.
+        head_dim)`` history (a :meth:`PagedSequence.view` slice, or a stored
+        cross-attention projection) — read as given, never copied.
+        ``masks[i]`` is a boolean keep mask broadcastable to ``(1, 1, 1,
+        length_i)`` or ``None``; ``position_biases[i]`` an additive array
+        broadcastable to ``(1, heads, 1, length_i)`` or ``None``.  The
+        per-row core runs the op sequence of :meth:`forward` and
+        :func:`~repro.nn.functional.softmax` — scale, bias, mask fill,
+        ``x + (-max)``, ``exp``, ``/ sum``, value mix — on plain arrays, so
+        each row's output is bitwise what that row would get decoding alone.
+        Returns the merged, output-projected ``(rows, 1, d_model)`` array.
         """
-        if grad_enabled():
-            raise ModelConfigError(
-                "attend_rows is a decode-only fast path; run it under no_grad()"
-            )
+        self._require_no_grad("attend_rows")
         rows = q.shape[0]
         if len(keys) != rows or len(values) != rows:
             raise ModelConfigError(f"attend_rows got {rows} query rows but {len(keys)}/{len(values)} K/V histories")
-        scale = 1.0 / np.sqrt(self.head_dim)
+        dtype = compute_dtype()
+        scale = np.asarray(1.0 / np.sqrt(self.head_dim), dtype=dtype)
         attended_rows = []
         for row in range(rows):
-            q_row = q[row : row + 1]
-            scores = (q_row @ Tensor(keys[row]).swapaxes(-1, -2)) * scale
+            scores = (q[row : row + 1] @ keys[row].swapaxes(-1, -2)) * scale
             bias = position_biases[row] if position_biases is not None else None
             if bias is not None:
                 scores = scores + bias
@@ -275,9 +326,7 @@ class MultiHeadAttention(Module):
                 mask = np.asarray(mask, dtype=bool)
                 while mask.ndim < 4:
                     mask = mask[:, None] if mask.ndim >= 2 else mask[None]
-                scores = scores.masked_fill(~mask, -1e9)
-            weights = F.softmax(scores, axis=-1)
-            weights = self.dropout(weights)
-            attended_rows.append((weights @ Tensor(values[row])).numpy())
-        attended = Tensor(np.concatenate(attended_rows, axis=0))
-        return self.out_proj(self._merge_heads(attended))
+                scores = np.asarray(np.where(~mask, -1e9, scores), dtype=dtype)
+            weights = self.dropout(F.softmax(scores, axis=-1))
+            attended_rows.append(weights @ values[row])
+        return self.out_proj(self._merge_heads(np.concatenate(attended_rows, axis=0)))

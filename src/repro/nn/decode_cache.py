@@ -25,10 +25,11 @@ beam search uses to carry each surviving beam's prefix forward.
 For token-level continuous batching the monolithic per-batch buffers are the
 wrong shape: sequences join and leave the batch at every step, so per-slot
 memory must be recyclable in O(1) without copying survivors.
-:class:`PagedKVArena` provides that — a shared pool of fixed-size K/V pages
-per decoder layer, with a free list so a finished sequence's pages are
-immediately reusable — and :class:`PagedSequence` is one sequence's page
-table over the arena (see ``docs/decoding.md`` for the layout).
+:class:`PagedKVArena` provides that — it grants K/V memory in fixed-size
+pages from a free list, so a finished sequence's pages are immediately
+reusable — and :class:`PagedSequence` is one sequence's page table plus its
+pages' bytes, laid end to end so attention reads the history as a zero-copy
+slice (see ``docs/decoding.md`` for the layout).
 """
 
 from __future__ import annotations
@@ -199,17 +200,22 @@ class DecodeCache:
 
 
 class PagedKVArena:
-    """A shared pool of fixed-size K/V pages backing paged decode caches.
+    """The page allocator behind paged decode caches.
 
-    The arena owns one ``(pages, page_size, heads, head_dim)`` key pool and
-    value pool per decoder layer.  A *page id* addresses the same slot in
-    every layer's pools: decoder layers advance in lockstep within a step, so
-    one logical allocation covers all layers and the page table of a
-    :class:`PagedSequence` is a single list of ids.  Page memory is recycled
-    through a free list — releasing a finished sequence and admitting a new
-    one are both O(pages), no copying of surviving sequences — and the pools
-    grow by doubling when the free list runs dry, so total memory tracks the
-    high-water mark of *tokens in flight*, not ``max_length × batch``.
+    K/V memory is granted in fixed-size *pages* of ``page_size`` positions.
+    A page id covers the same positions in every decoder layer: layers
+    advance in lockstep within a step, so one allocation serves all layers
+    and the page table of a :class:`PagedSequence` is a single list of ids.
+    Ids come from a free list — releasing a finished sequence and admitting
+    a new one are both O(pages), with no copying of surviving sequences —
+    and the id space doubles when the free list runs dry, so the pages in
+    use track *tokens in flight*, not ``max_length × batch``.
+
+    The bytes of a sequence's pages live in that sequence's own per-layer
+    buffer, its pages laid end to end (see :class:`PagedSequence`): that is
+    what lets attention read a history as a zero-copy slice instead of
+    gathering scattered pages every step.  The arena accounts for them —
+    ``pages_in_use`` × page bytes is the K/V memory held by live sequences.
 
     Like :class:`KVState`, the arena adopts the dtype of the first K/V it
     receives and rejects mixes (a mix means the precision policy changed
@@ -230,8 +236,7 @@ class PagedKVArena:
         self.head_dim = head_dim
         self.page_size = page_size
         self._initial_pages = initial_pages
-        self._pool_k: list[np.ndarray] | None = None
-        self._pool_v: list[np.ndarray] | None = None
+        self._dtype: np.dtype | None = None
         self._free: list[int] = []
         self._num_pages = 0
         self._pages_in_use = 0
@@ -244,12 +249,12 @@ class PagedKVArena:
 
     @property
     def dtype(self) -> np.dtype | None:
-        """The pool dtype (``None`` until the first write fixes it)."""
-        return None if self._pool_k is None else self._pool_k[0].dtype
+        """The K/V dtype (``None`` until the first write fixes it)."""
+        return self._dtype
 
     @property
     def num_pages(self) -> int:
-        """Total pages the pools currently hold (allocated + free)."""
+        """Page ids the arena has issued so far (in use + free)."""
         return self._num_pages
 
     @property
@@ -290,8 +295,8 @@ class PagedKVArena:
         Called once per continuous-batching step so the metrics snapshot
         reflects the live arena rather than the state at the last request
         boundary.  The reuse ratio is ``page_reuses / (page_reuses +
-        fresh_allocations)`` — how often an allocation was served by the
-        free list rather than first-touch pool memory.
+        fresh_allocations)`` — how often an allocation was served by a
+        released page id rather than a never-used one.
         """
         _PAGES_IN_USE.set(float(self._pages_in_use))
         allocations = self._page_reuses + self._fresh_allocations
@@ -299,32 +304,20 @@ class PagedKVArena:
             _PAGE_REUSE_RATIO.set(self._page_reuses / allocations)
 
     # -- page bookkeeping (driven by PagedSequence) ------------------------------------
-    def _materialize(self, dtype: np.dtype) -> None:
-        shape = (self._initial_pages, self.page_size, self.num_heads, self.head_dim)
-        self._pool_k = [np.zeros(shape, dtype=dtype) for _ in range(self.num_layers)]
-        self._pool_v = [np.zeros(shape, dtype=dtype) for _ in range(self.num_layers)]
-        self._num_pages = self._initial_pages
-        self._free = list(range(self._initial_pages - 1, -1, -1))
-
-    def _grow(self) -> None:
-        grown = max(1, self._num_pages)
-        shape = (grown, self.page_size, self.num_heads, self.head_dim)
-        for pools in (self._pool_k, self._pool_v):
-            for layer in range(self.num_layers):
-                pools[layer] = np.concatenate([pools[layer], np.zeros(shape, dtype=pools[layer].dtype)])
-        self._free.extend(range(self._num_pages + grown - 1, self._num_pages - 1, -1))
-        self._num_pages += grown
-
-    def _allocate_page(self, dtype: np.dtype) -> int:
-        if self._pool_k is None:
-            self._materialize(dtype)
-        elif self._pool_k[0].dtype != dtype:
+    def _check_dtype(self, dtype: np.dtype) -> None:
+        if self._dtype is None:
+            self._dtype = np.dtype(dtype)
+        elif self._dtype != dtype:
             raise ModelConfigError(
-                f"KV arena holds {self._pool_k[0].dtype} but received {dtype}; "
+                f"KV arena holds {self._dtype} but received {dtype}; "
                 "the compute dtype must stay fixed while sequences are in flight"
             )
+
+    def _allocate_page(self) -> int:
         if not self._free:
-            self._grow()
+            grown = self._num_pages or self._initial_pages
+            self._free.extend(range(self._num_pages + grown - 1, self._num_pages - 1, -1))
+            self._num_pages += grown
         page = self._free.pop()
         if page in self._ever_used:
             self._page_reuses += 1
@@ -344,22 +337,32 @@ class PagedSequence:
     """One sequence's self-attention K/V history, paged over a :class:`PagedKVArena`.
 
     The sequence owns a page table (a list of arena page ids, shared across
-    layers — see :class:`PagedKVArena`) plus a per-layer length.  Each decoder
-    step :meth:`append`\\ s the newest token's projected K/V for every layer;
-    a page is allocated lazily when the first write crosses into it.
-    :meth:`view` gathers the live positions of one layer back into a dense
-    ``(1, heads, length, head_dim)`` pair for attention — a copy, so released
-    pages being overwritten by another sequence can never alias an in-flight
-    read.  :meth:`release` returns every page to the arena's free list;
-    a released sequence rejects further use.
+    layers — see :class:`PagedKVArena`), a per-layer length, and per layer
+    one contiguous ``(heads, pages * page_size, head_dim)`` key buffer and
+    value buffer holding its pages end to end.  Each decoder step
+    :meth:`append`\\ s the newest token's projected K/V for every layer; a
+    page is allocated when the first write crosses into it, and the layer's
+    buffers grow by that page (one copy of the history per ``page_size``
+    tokens, instead of one per step).
+
+    :meth:`view` returns the live positions of one layer as zero-copy
+    ``(1, heads, length, head_dim)`` slices, each head's rows contiguous —
+    the layout the per-row attention matmuls read with the same summation
+    order as a dense copy.  A view never changes afterwards: appends only
+    write past it, growth moves the sequence to a new buffer, and
+    :meth:`release` drops the buffers without reusing their memory for
+    another sequence, so an in-flight read can never alias someone else's
+    K/V.  A released sequence rejects further use.
     """
 
-    __slots__ = ("arena", "pages", "_lengths", "_released")
+    __slots__ = ("arena", "pages", "_lengths", "_keys", "_values", "_released")
 
     def __init__(self, arena: PagedKVArena):
         self.arena = arena
         self.pages: list[int] = []
         self._lengths = [0] * arena.num_layers
+        self._keys: list[np.ndarray | None] = [None] * arena.num_layers
+        self._values: list[np.ndarray | None] = [None] * arena.num_layers
         self._released = False
 
     @property
@@ -381,48 +384,41 @@ class PagedSequence:
         if self._released:
             raise ModelConfigError("PagedSequence was released; its pages belong to the arena again")
         _check_kv_pair(k, v)
-        if k.ndim != 4 or k.shape[0] != 1 or k.shape[1] != self.arena.num_heads or k.shape[3] != self.arena.head_dim:
+        arena = self.arena
+        if k.ndim != 4 or k.shape[0] != 1 or k.shape[1] != arena.num_heads or k.shape[3] != arena.head_dim:
             raise ModelConfigError(
                 f"K/V geometry {k.shape} does not match the arena's "
-                f"(1, {self.arena.num_heads}, steps, {self.arena.head_dim})"
+                f"(1, {arena.num_heads}, steps, {arena.head_dim})"
             )
-        k = k[0].transpose(1, 0, 2)  # (steps, heads, head_dim)
-        v = v[0].transpose(1, 0, 2)
+        arena._check_dtype(k.dtype)
         position = self._lengths[layer]
-        steps = k.shape[0]
-        page_size = self.arena.page_size
-        needed = -(-(position + steps) // page_size)  # ceil division
+        end = position + k.shape[2]
+        needed = -(-end // arena.page_size)  # ceil division
         while len(self.pages) < needed:
-            self.pages.append(self.arena._allocate_page(k.dtype))
-        pool_k = self.arena._pool_k[layer]
-        pool_v = self.arena._pool_v[layer]
-        for step in range(steps):
-            page = self.pages[(position + step) // page_size]
-            offset = (position + step) % page_size
-            pool_k[page, offset] = k[step]
-            pool_v[page, offset] = v[step]
-        self._lengths[layer] = position + steps
+            self.pages.append(arena._allocate_page())
+        keys, values = self._keys[layer], self._values[layer]
+        capacity = len(self.pages) * arena.page_size
+        if keys is None or keys.shape[1] < capacity:
+            shape = (arena.num_heads, capacity, arena.head_dim)
+            grown_k = np.empty(shape, dtype=k.dtype)
+            grown_v = np.empty(shape, dtype=k.dtype)
+            if position:
+                grown_k[:, :position] = keys[:, :position]
+                grown_v[:, :position] = values[:, :position]
+            self._keys[layer] = keys = grown_k
+            self._values[layer] = values = grown_v
+        keys[:, position:end] = k[0]
+        values[:, position:end] = v[0]
+        self._lengths[layer] = end
 
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gather ``layer``'s live K/V as dense ``(1, heads, length, head_dim)`` copies."""
+        """``layer``'s live K/V as zero-copy ``(1, heads, length, head_dim)`` slices."""
         if self._released:
             raise ModelConfigError("PagedSequence was released; its pages belong to the arena again")
         length = self._lengths[layer]
         if length == 0:
             raise ModelConfigError("cannot view an empty paged sequence; append a step first")
-        page_size = self.arena.page_size
-        positions = np.arange(length)
-        table = np.asarray(self.pages, dtype=np.int64)
-        flat = table[positions // page_size] * page_size + positions % page_size
-        heads, head_dim = self.arena.num_heads, self.arena.head_dim
-        k = self.arena._pool_k[layer].reshape(-1, heads, head_dim)[flat]
-        v = self.arena._pool_v[layer].reshape(-1, heads, head_dim)[flat]
-        # (length, heads, head_dim) -> (1, heads, length, head_dim), densely
-        # laid out like the contiguous caches so attention sees the same shape.
-        return (
-            np.ascontiguousarray(k.transpose(1, 0, 2))[None],
-            np.ascontiguousarray(v.transpose(1, 0, 2))[None],
-        )
+        return self._keys[layer][None, :, :length], self._values[layer][None, :, :length]
 
     def release(self) -> None:
         """Return every page to the arena (idempotent); the sequence is dead after."""
@@ -430,4 +426,5 @@ class PagedSequence:
             self.arena._release_pages(self.pages)
             self.arena._sequences_released += 1
             self.pages = []
+            self._keys, self._values = [], []
             self._released = True

@@ -17,8 +17,16 @@ def gelu(x: Tensor) -> Tensor:
     return x.gelu()
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
+def softmax(x: Tensor | np.ndarray, axis: int = -1) -> Tensor | np.ndarray:
+    """Numerically stable softmax along ``axis``.
+
+    A plain array gets a plain array back, computed with the Tensor path's
+    exact ops (``x + (-max)``, ``exp``, ``/ sum``) — see array mode in
+    :mod:`repro.nn.layers`.
+    """
+    if isinstance(x, np.ndarray):
+        exps = np.exp(x + (-x.max(axis=axis, keepdims=True)))
+        return exps / exps.sum(axis=axis, keepdims=True)
     shifted = x - x.max(axis=axis, keepdims=True).detach()
     exps = shifted.exp()
     return exps / exps.sum(axis=axis, keepdims=True)

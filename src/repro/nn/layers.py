@@ -11,6 +11,17 @@ activation scales (:mod:`repro.nn.calibration`): the int8 codes plus their
 scales (and any zero points / equalization vectors) become the persisted
 form of the weight, and the float master is re-derived from them so compute
 at any dtype sees the quantized values.  See ``docs/numerics.md``.
+
+**Array mode.**  The layers an incremental decode step runs (:class:`Linear`,
+:class:`Embedding`, :class:`RMSNorm`, :class:`Dropout` in eval mode,
+:class:`FeedForward`) also accept a plain ``ndarray`` in place of a
+:class:`~repro.nn.tensor.Tensor` and then return a plain ``ndarray``.  The
+array path runs the numpy ops of the Tensor forward in the same order and
+dtype — scalars as 0-d arrays of the compute dtype, every promoted result
+cast back to it as ``Tensor.__init__`` does — so its output is bitwise the
+Tensor forward's, without building wrappers or backward closures.  Arrays
+carry no autograd graph: array mode is for inference under
+:func:`~repro.nn.tensor.no_grad` only.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.errors import ModelConfigError
-from repro.nn.tensor import Tensor, compute_dtype
+from repro.nn.tensor import Tensor, compute_dtype, gelu_parts
 from repro.utils.rng import seeded_rng
 
 
@@ -460,12 +471,22 @@ class Linear(Module):
         self.weight.requires_grad = False
         self.invalidate_cast_caches()
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply ``x @ W (+ b)``, casting masters to the active compute dtype."""
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """Apply ``x @ W (+ b)``, casting masters to the active compute dtype.
+
+        A plain-array ``x`` gets a plain-array result (array mode).
+        """
         observer = self.__dict__.get("_activation_observer")
+        dtype = compute_dtype()
+        if isinstance(x, np.ndarray):
+            if observer is not None:
+                observer.update(x)
+            out = np.asarray(x @ cast_cached(self, "weight", self.weight.data, dtype), dtype=dtype)
+            if self.bias is not None:
+                out = np.asarray(out + cast_cached(self, "bias", self.bias.data, dtype), dtype=dtype)
+            return out
         if observer is not None:
             observer.update(x.data)
-        dtype = compute_dtype()
         if dtype == np.float64:
             weight, bias = self.weight, self.bias
         else:
@@ -564,14 +585,20 @@ class Embedding(Module):
         self.weight.requires_grad = False
         self.invalidate_cast_caches()
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        """Look up the vectors for ``ids`` (any integer array shape)."""
+    def forward(self, ids: np.ndarray, as_array: bool = False) -> Tensor | np.ndarray:
+        """Look up the vectors for ``ids`` (any integer array shape).
+
+        ``as_array=True`` returns the rows as a plain array in the compute
+        dtype (array mode) instead of a :class:`Tensor`.
+        """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise ModelConfigError(
                 f"token id outside embedding range [0, {self.num_embeddings}): "
                 f"min={ids.min() if ids.size else None}, max={ids.max() if ids.size else None}"
             )
+        if as_array:
+            return np.asarray(self.weight.data[ids], dtype=compute_dtype())
         return self.weight.embedding_lookup(ids)
 
 
@@ -584,8 +611,18 @@ class RMSNorm(Module):
         self.eps = eps
         self.dim = dim
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Scale ``x`` to unit RMS along the last axis, then apply the gain."""
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """Scale ``x`` to unit RMS along the last axis, then apply the gain.
+
+        A plain-array ``x`` gets a plain-array result (array mode).
+        """
+        if isinstance(x, np.ndarray):
+            # Tensor.mean is sum * (1/n), with the scalars coerced to 0-d
+            # arrays of the compute dtype; mirror that exactly.
+            dtype = compute_dtype()
+            variance = (x * x).sum(axis=-1, keepdims=True) * np.asarray(1.0 / x.shape[-1], dtype=dtype)
+            normed = x * ((variance + np.asarray(self.eps, dtype=dtype)) ** -0.5)
+            return np.asarray(normed * cast_cached(self, "weight", self.weight.data, dtype), dtype=dtype)
         variance = (x * x).mean(axis=-1, keepdims=True)
         normed = x * ((variance + self.eps) ** -0.5)
         dtype = compute_dtype()
@@ -604,8 +641,12 @@ class Dropout(Module):
         self.rate = rate
         self._rng = seeded_rng(seed)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Randomly zero (and rescale) entries of ``x`` while training."""
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """Randomly zero (and rescale) entries of ``x`` while training.
+
+        In eval mode (or at rate 0) ``x`` passes through untouched, so a
+        plain array stays a plain array.
+        """
         if not self.training or self.rate == 0.0:
             return x
         keep_probability = 1.0 - self.rate
@@ -633,9 +674,18 @@ class FeedForward(Module):
             raise ModelConfigError(f"unknown activation {activation!r}")
         self.activation = activation
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply the expand -> activate -> (dropout) -> project block."""
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """Apply the expand -> activate -> (dropout) -> project block.
+
+        A plain-array ``x`` gets a plain-array result (array mode).
+        """
         hidden = self.wi(x)
+        if isinstance(hidden, np.ndarray):
+            if self.activation == "relu":
+                hidden = hidden * (hidden > 0)  # Tensor.relu's arithmetic
+            else:
+                hidden = np.asarray(gelu_parts(hidden)[0], dtype=compute_dtype())
+            return self.wo(self.dropout(hidden))
         hidden = hidden.relu() if self.activation == "relu" else hidden.gelu()
         hidden = self.dropout(hidden)
         return self.wo(hidden)

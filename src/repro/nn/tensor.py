@@ -108,6 +108,18 @@ def autocast(dtype="float32"):
         _GRAD_STATE.enabled = previous_grad
 
 
+def gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward arithmetic of :meth:`Tensor.gelu` on a plain array.
+
+    Returns ``(output, tanh_inner)``; the tanh term is what the backward pass
+    reuses.  Array-mode layers call this too, so both paths run one op
+    sequence.
+    """
+    inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
+    tanh_inner = np.tanh(inner)
+    return 0.5 * x * (1.0 + tanh_inner), tanh_inner
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -351,9 +363,7 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """The tanh approximation of GELU used by T5 v1.1 style feed-forwards."""
         x = self.data
-        inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
-        tanh_inner = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + tanh_inner)
+        out_data, tanh_inner = gelu_parts(x)
 
         def backward(grad, out):
             if self.requires_grad:

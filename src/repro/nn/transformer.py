@@ -279,17 +279,30 @@ class T5Model(Module):
             output["loss"] = F.sequence_cross_entropy(logits, labels, pad_id=self.config.pad_id)
         return output
 
-    def lm_logits(self, decoder_hidden: Tensor) -> Tensor:
-        """Project decoder states onto the vocabulary with the tied embedding."""
+    def lm_logits(self, decoder_hidden: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """Project decoder states onto the vocabulary with the tied embedding.
+
+        A plain-array input gets a plain-array result (array mode, see
+        :mod:`repro.nn.layers`).
+        """
         scale = self.config.d_model**-0.5
+        is_array = isinstance(decoder_hidden, np.ndarray)
         # Calibration attaches an observer to the shared embedding to record
         # the tied head's *input* activations (repro.nn.calibration) — the
         # embedding's quantization error hurts decoding through this
         # projection, so its equalization is driven by these channels.
         observer = self.shared_embedding.__dict__.get("_activation_observer")
         if observer is not None:
-            observer.update(decoder_hidden.data * scale)
+            observer.update((decoder_hidden if is_array else decoder_hidden.data) * scale)
         dtype = compute_dtype()
+        if is_array:
+            if dtype == np.float64:
+                projection = self.shared_embedding.weight.data.transpose()
+            else:
+                projection = cast_cached(
+                    self.shared_embedding, "lm_projection", self.shared_embedding.weight.data, dtype, transform=np.transpose
+                )
+            return np.asarray((decoder_hidden * np.asarray(scale, dtype=dtype)) @ projection, dtype=dtype)
         if dtype == np.float64:
             return (decoder_hidden * scale) @ self.shared_embedding.weight.transpose()
         # Reduced-precision decode hits this projection once per step, so the
@@ -328,6 +341,9 @@ class T5Model(Module):
         reference loops that re-decode the full prefix every step; both paths
         produce identical token ids (the decode-equivalence suite asserts it).
 
+        ``max_length=None`` means the config's ``max_decode_length``; a
+        budget below 1 raises :class:`ModelConfigError`.
+
         ``dtype`` selects the inference compute dtype (``"float64"`` or
         ``"float32"``); the whole generation — encoder pass, decode steps, KV
         caches — runs under :func:`repro.nn.tensor.autocast` with it.
@@ -336,7 +352,7 @@ class T5Model(Module):
         measures and gates it (see ``docs/numerics.md``).
         """
         input_ids = np.atleast_2d(np.asarray(input_ids, dtype=np.int64))
-        max_length = max_length or self.config.max_decode_length
+        max_length = resolve_decode_budget(max_length, self.config.max_decode_length)
         with autocast(dtype):
             if num_beams <= 1:
                 if use_cache:
@@ -575,13 +591,24 @@ class PagedDecodeBatch:
 
     **Equivalence contract:** every sequence's output token ids are bitwise
     identical to its solo ``generate(..., use_cache=False)`` decode,
-    regardless of what else shares the batch or when it was admitted.  The
-    batched sub-computations (embedding, norms, projections, FFN, LM head)
-    are per-row independent — a ``(rows, 1, d)`` matmul is a stack of
-    ``(1, d)`` matmuls — and attention runs per row over that row's exact
+    regardless of what else shares the batch or when it was admitted.  What
+    is float-identical is narrower: a row's hidden states and logits do not
+    depend on its batch-mates or admission step — the batched
+    sub-computations (embedding, norms, projections, FFN, LM head) are
+    per-row independent, a ``(rows, 1, d)`` matmul being a stack of
+    ``(1, d)`` matmuls, and attention runs per row over that row's exact
     history (padding histories to a common length would change summation
-    grouping and break bitwise equality; see
-    :meth:`~repro.nn.attention.MultiHeadAttention.attend_rows`).
+    grouping; see :meth:`~repro.nn.attention.MultiHeadAttention.attend_rows`).
+    They are not bit-equal to the oracle's, which projects the whole prefix
+    with one ``M = t`` matmul per step; they differ in the last bits (about
+    ``6e-17`` on a d_model-64 model), which has not flipped an argmax in the
+    equivalence suites.
+
+    :meth:`step` runs in array mode (see :mod:`repro.nn.layers`): each layer
+    it calls computes on plain ndarrays with its Tensor forward's exact op
+    sequence, so no autograd wrapper is built per step.  Self-attention reads
+    each row's history as a zero-copy
+    :meth:`~repro.nn.decode_cache.PagedSequence.view` slice.
 
     Inference-only: the model must be in eval mode, and every pass runs
     under :func:`~repro.nn.tensor.no_grad` + :func:`~repro.nn.tensor.autocast`
@@ -605,7 +632,6 @@ class PagedDecodeBatch:
             initial_pages=max_slots,
         )
         self._slots: list[_PagedSlot | None] = [None] * max_slots
-        self._bias_memo: dict[int, Tensor] = {}
         self._next_handle = 0
         #: Every token the most recent :meth:`step` emitted, keyed by
         #: sequence handle (finished sequences included).  The hook token
@@ -629,14 +655,14 @@ class PagedDecodeBatch:
         Runs the encoder over the single row and caches each layer's
         projected cross-attention K/V, allocating a free slot; returns the
         sequence's handle (the key :meth:`step` reports completion under).
-        Raises :class:`ModelConfigError` when every slot is occupied — the
-        serving scheduler checks :attr:`free_slots` and queues instead.
+        ``max_length=None`` means the model's ``max_decode_length``; a budget
+        below 1 raises.  Raises :class:`ModelConfigError` when every slot is
+        occupied — the serving scheduler checks :attr:`free_slots` and
+        queues instead.
         """
         if self.model.training:
             raise ModelConfigError("PagedDecodeBatch is inference-only; call model.eval() first")
-        max_length = max_length or self.model.config.max_decode_length
-        if max_length < 1:
-            raise ModelConfigError("max_length must be at least 1")
+        max_length = resolve_decode_budget(max_length, self.model.config.max_decode_length)
         slot_index = next((i for i, slot in enumerate(self._slots) if slot is None), None)
         if slot_index is None:
             raise ModelConfigError(f"no free slot: all {self.max_slots} are decoding")
@@ -658,7 +684,7 @@ class PagedDecodeBatch:
             sequence=self.arena.sequence(),
             cross_k=cross_k,
             cross_v=cross_v,
-            cross_mask=attention_mask[:, None, :],  # (1, 1, source_len) keep mask
+            cross_mask=attention_mask[:, None, None, :],  # (1, 1, 1, source_len) keep mask
             max_length=max_length,
             bos_id=self.model.config.bos_id,
         )
@@ -689,19 +715,25 @@ class PagedDecodeBatch:
             return {}
         decoder = self.model.decoder
         config = self.model.config
+        # The whole step runs in array mode (see repro.nn.layers): every layer
+        # gets and returns plain ndarrays, computed with its Tensor forward's
+        # ops, so no autograd wrappers are built.
         with autocast(self.dtype), no_grad():
             step_ids = np.asarray([[slot.last_token] for slot in active], dtype=np.int64)
-            hidden = decoder.dropout(decoder.embedding(step_ids))
+            hidden = decoder.dropout(decoder.embedding(step_ids, as_array=True))
+            # Every layer of a step attends the same history length per row:
+            # the cached positions plus the token being appended now.
+            lengths = [slot.sequence.length + 1 for slot in active]
+            biases = [decoder.position_bias.bias_array(1, length, length - 1) for length in lengths]
             for layer_index, layer in enumerate(decoder.layers):
                 normed = layer.norm_self(hidden)
                 q, k_new, v_new = layer.self_attention.decode_step_qkv(normed)
-                keys, values, biases = [], [], []
+                keys, values = [], []
                 for row, slot in enumerate(active):
                     slot.sequence.append(layer_index, k_new[row : row + 1], v_new[row : row + 1])
                     k_row, v_row = slot.sequence.view(layer_index)
                     keys.append(k_row)
                     values.append(v_row)
-                    biases.append(self._position_bias(slot.sequence.length))
                 attended = layer.self_attention.attend_rows(q, keys, values, position_biases=biases)
                 hidden = hidden + layer.dropout(attended)
                 normed = layer.norm_cross(hidden)
@@ -716,7 +748,7 @@ class PagedDecodeBatch:
                 normed = layer.norm_feed_forward(hidden)
                 hidden = hidden + layer.dropout(layer.feed_forward(normed))
             hidden = decoder.final_norm(hidden)
-            logits = self.model.lm_logits(hidden).numpy()[:, -1, :]
+            logits = self.model.lm_logits(hidden)[:, -1, :]
         finished: dict[int, list[int]] = {}
         self.last_step_tokens = {}
         for row, slot in enumerate(active):
@@ -730,14 +762,18 @@ class PagedDecodeBatch:
                 self._slots[self._slots.index(slot)] = None
         return finished
 
-    def _position_bias(self, key_length: int) -> Tensor:
-        """The single-query relative-position bias row for ``key_length`` cached
-        positions, memoized — it depends only on the length in eval mode."""
-        bias = self._bias_memo.get(key_length)
-        if bias is None:
-            bias = self.model.decoder.position_bias(1, key_length, query_offset=key_length - 1)
-            self._bias_memo[key_length] = bias
-        return bias
+
+def resolve_decode_budget(max_length: int | None, default: int) -> int:
+    """Resolve a decode budget: ``None`` is ``default``; below 1 is rejected.
+
+    Only ``None`` selects the default — ``max_length or default`` would
+    silently turn an explicit 0 into a full-length decode.
+    """
+    if max_length is None:
+        return default
+    if max_length < 1:
+        raise ModelConfigError(f"max_length must be at least 1, got {max_length}")
+    return max_length
 
 
 def _pad_token_rows(rows: list[list[int]], pad_id: int) -> np.ndarray:
