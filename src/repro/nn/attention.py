@@ -11,13 +11,6 @@ from repro.nn.layers import Dropout, Linear, Module, Parameter
 from repro.nn.tensor import Tensor, compute_dtype, grad_enabled
 from repro.utils.rng import seeded_rng
 
-#: Byte budget of one :class:`RelativePositionBias` module's inference memo.
-#: Decode-step rows are a few KB each; an encoder's ``(T, T)`` bias is
-#: ``8 * heads * T**2`` bytes in float64 (1.6 MB at 8 heads and T=160), so
-#: the budget keeps the biases of the last few source lengths (at least the
-#: newest), oldest entry first out.
-BIAS_MEMO_BYTES = 2 << 20
-
 
 class RelativePositionBias(Module):
     """The learned bucketed relative-position bias used by T5 attention.
@@ -69,11 +62,6 @@ class RelativePositionBias(Module):
         result = result + np.where(is_small, relative_position, relative_if_large)
         return result
 
-    def _buckets(self, query_length: int, key_length: int, query_offset: int) -> np.ndarray:
-        context_position = np.arange(query_offset, query_offset + query_length)[:, None]
-        memory_position = np.arange(key_length)[None, :]
-        return self._bucket(memory_position - context_position)
-
     def forward(self, query_length: int, key_length: int, query_offset: int = 0) -> Tensor:
         """Return a bias tensor of shape ``(1, num_heads, query_length, key_length)``.
 
@@ -81,55 +69,48 @@ class RelativePositionBias(Module):
         ``offset .. offset + query_length`` — incremental decoding uses it to
         get the bias row of the newest token only, which is bitwise the same
         as the corresponding row of the full ``(key_length, key_length)`` bias.
-        In eval mode under :func:`~repro.nn.tensor.no_grad` the values come
-        from the :meth:`bias_array` memo; otherwise the lookup is recorded
-        on the autograd graph.
         """
-        if self.training or grad_enabled():
-            bias = self.embedding.embedding_lookup(self._buckets(query_length, key_length, query_offset))  # (Q, K, H)
-            return bias.transpose((2, 0, 1)).reshape(1, self.num_heads, query_length, key_length)
-        return Tensor(self.bias_array(query_length, key_length, query_offset))
+        context_position = np.arange(query_offset, query_offset + query_length)[:, None]
+        memory_position = np.arange(key_length)[None, :]
+        relative_position = memory_position - context_position
+        buckets = self._bucket(relative_position)
+        bias = self.embedding.embedding_lookup(buckets)  # (Q, K, H)
+        return bias.transpose((2, 0, 1)).reshape(1, self.num_heads, query_length, key_length)
 
-    def bias_array(self, query_length: int, key_length: int, query_offset: int = 0) -> np.ndarray:
-        """:meth:`forward`'s values as a plain array in the compute dtype.
+    def decode_bias(self, key_length: int) -> np.ndarray:
+        """The bias row of the newest of ``key_length`` positions, as a plain array.
 
-        In eval mode under :func:`~repro.nn.tensor.no_grad` the result is
-        memoized per ``(query_length, key_length, query_offset, dtype)``:
-        decoding asks for the same rows every step and admission for the
-        same ``(T, T)`` encoder bias every request.  The memo lives beside
-        the module's reduced-precision weight casts, so it is dropped with
-        them — on train/eval transitions (which bracket optimizer steps) and
-        by :meth:`~repro.nn.layers.Module.invalidate_cast_caches` — and it is
+        Bitwise ``forward(1, key_length, key_length - 1)`` as a ``(1, heads,
+        1, key_length)`` array in the compute dtype — the row a
+        continuous-decode step adds to one sequence's self-attention scores.
+        That row covers the relative positions ``-(key_length - 1) .. 0``, so
+        every length's row is the tail of a longer one: in eval mode under
+        :func:`~repro.nn.tensor.no_grad` one row per dtype is memoized
+        (regrown by doubling) and sliced.  The memo lives beside the
+        module's reduced-precision weight casts, so it is dropped with them
+        — on train/eval transitions (which bracket optimizer steps) and by
+        :meth:`~repro.nn.layers.Module.invalidate_cast_caches` — and it is
         keyed by the identity of the embedding's data, so a reassigned table
         (``load_state_dict``) misses.  Callers must not write into the
         returned array.
         """
-        dtype = compute_dtype()
+        dtype = np.dtype(compute_dtype())
         if self.training or grad_enabled():
-            return self._compute_bias(query_length, key_length, query_offset, dtype)
+            return self._bias_row(key_length, dtype)
         cache = self.__dict__.setdefault("_cast_cache", {})
-        memo = cache.get("position_bias")
+        slot = f"decode_bias.{dtype.name}"
+        memo = cache.get(slot)
         if memo is None or memo[0] is not self.embedding.data:
-            memo = cache["position_bias"] = (self.embedding.data, {})
-        entries = memo[1]
-        key = (query_length, key_length, query_offset, dtype)
-        bias = entries.get(key)
-        if bias is None:
-            bias = entries[key] = self._compute_bias(query_length, key_length, query_offset, dtype)
-            # Evict oldest-first over a snapshot: serving threads may share
-            # the module, and only single dict operations are atomic.
-            size = sum(entry.nbytes for entry in list(entries.values()))
-            for old in list(entries):
-                if size <= BIAS_MEMO_BYTES or old == key:
-                    break
-                evicted = entries.pop(old, None)
-                size -= 0 if evicted is None else evicted.nbytes
-        return bias
+            memo = cache[slot] = (self.embedding.data, self._bias_row(key_length, dtype))
+        elif memo[1].shape[-1] < key_length:
+            memo = cache[slot] = (memo[0], self._bias_row(max(key_length, 2 * memo[1].shape[-1]), dtype))
+        row = memo[1]
+        return row[..., row.shape[-1] - key_length :]
 
-    def _compute_bias(self, query_length: int, key_length: int, query_offset: int, dtype) -> np.ndarray:
-        bias = self.embedding.data[self._buckets(query_length, key_length, query_offset)]  # (Q, K, H)
-        bias = bias.transpose((2, 0, 1)).reshape(1, self.num_heads, query_length, key_length)
-        return np.asarray(bias, dtype=dtype)
+    def _bias_row(self, key_length: int, dtype: np.dtype) -> np.ndarray:
+        buckets = self._bucket(np.arange(key_length)[None, :] - (key_length - 1))
+        bias = self.embedding.data[buckets]  # (1, K, H)
+        return np.asarray(bias.transpose((2, 0, 1)).reshape(1, self.num_heads, 1, key_length), dtype=dtype)
 
 
 class MultiHeadAttention(Module):

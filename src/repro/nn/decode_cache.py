@@ -23,13 +23,12 @@ a mix can only mean the precision policy changed mid-decode).
 beam search uses to carry each surviving beam's prefix forward.
 
 For token-level continuous batching the monolithic per-batch buffers are the
-wrong shape: sequences join and leave the batch at every step, so per-slot
-memory must be recyclable in O(1) without copying survivors.
-:class:`PagedKVArena` provides that — it grants K/V memory in fixed-size
-pages from a free list, so a finished sequence's pages are immediately
-reusable — and :class:`PagedSequence` is one sequence's page table plus its
-pages' bytes, laid end to end so attention reads the history as a zero-copy
-slice (see ``docs/decoding.md`` for the layout).
+wrong shape: sequences join and leave the batch at every step, so a finished
+sequence must give its share of the K/V budget back in O(1) without copying
+survivors.  :class:`PagedKVArena` accounts for that budget in fixed-size
+pages handed out from a free list, and :class:`PagedSequence` is one
+sequence's page table plus its own per-layer :class:`KVState`, which
+attention reads as a zero-copy slice (see ``docs/decoding.md``).
 """
 
 from __future__ import annotations
@@ -200,22 +199,23 @@ class DecodeCache:
 
 
 class PagedKVArena:
-    """The page allocator behind paged decode caches.
+    """The page accountant behind paged decode caches.
 
-    K/V memory is granted in fixed-size *pages* of ``page_size`` positions.
-    A page id covers the same positions in every decoder layer: layers
-    advance in lockstep within a step, so one allocation serves all layers
-    and the page table of a :class:`PagedSequence` is a single list of ids.
-    Ids come from a free list — releasing a finished sequence and admitting
-    a new one are both O(pages), with no copying of surviving sequences —
-    and the id space doubles when the free list runs dry, so the pages in
-    use track *tokens in flight*, not ``max_length × batch``.
+    The K/V budget is granted in fixed-size *pages* of ``page_size``
+    positions.  A page id covers the same positions in every decoder layer:
+    layers advance in lockstep within a step, so one allocation serves all
+    layers and the page table of a :class:`PagedSequence` is a single list
+    of ids.  Ids come from a free list — releasing a finished sequence and
+    admitting a new one are both O(pages), with no copying of surviving
+    sequences — and the id space doubles when the free list runs dry, so the
+    pages in use track *tokens in flight*, not ``max_length × batch``.
 
-    The bytes of a sequence's pages live in that sequence's own per-layer
-    buffer, its pages laid end to end (see :class:`PagedSequence`): that is
-    what lets attention read a history as a zero-copy slice instead of
-    gathering scattered pages every step.  The arena accounts for them —
-    ``pages_in_use`` × page bytes is the K/V memory held by live sequences.
+    Page ids are accounting units, not memory: each sequence's K/V bytes
+    live in its own per-layer :class:`KVState` (so attention reads a history
+    as a zero-copy slice), and ``pages_in_use`` × page bytes is the K/V the
+    live sequences hold, up to those buffers' doubling slack.  Likewise
+    ``page_reuses`` counts allocations served by a released id — a recycled
+    share of the budget, not recycled bytes.
 
     Like :class:`KVState`, the arena adopts the dtype of the first K/V it
     receives and rejects mixes (a mix means the precision policy changed
@@ -296,7 +296,8 @@ class PagedKVArena:
         reflects the live arena rather than the state at the last request
         boundary.  The reuse ratio is ``page_reuses / (page_reuses +
         fresh_allocations)`` — how often an allocation was served by a
-        released page id rather than a never-used one.
+        released page id rather than a never-used one (an id, not memory:
+        see the class docstring).
         """
         _PAGES_IN_USE.set(float(self._pages_in_use))
         allocations = self._page_reuses + self._fresh_allocations
@@ -337,38 +338,33 @@ class PagedSequence:
     """One sequence's self-attention K/V history, paged over a :class:`PagedKVArena`.
 
     The sequence owns a page table (a list of arena page ids, shared across
-    layers — see :class:`PagedKVArena`), a per-layer length, and per layer
-    one contiguous ``(heads, pages * page_size, head_dim)`` key buffer and
-    value buffer holding its pages end to end.  Each decoder step
-    :meth:`append`\\ s the newest token's projected K/V for every layer; a
-    page is allocated when the first write crosses into it, and the layer's
-    buffers grow by that page (one copy of the history per ``page_size``
-    tokens, instead of one per step).
+    layers — see :class:`PagedKVArena`) and one :class:`KVState` per layer
+    holding the bytes.  Each decoder step :meth:`append`\\ s the newest
+    token's projected K/V for every layer; a page id is allocated when the
+    first write crosses into it, and the layer's buffers grow by doubling.
 
     :meth:`view` returns the live positions of one layer as zero-copy
     ``(1, heads, length, head_dim)`` slices, each head's rows contiguous —
     the layout the per-row attention matmuls read with the same summation
     order as a dense copy.  A view never changes afterwards: appends only
-    write past it, growth moves the sequence to a new buffer, and
-    :meth:`release` drops the buffers without reusing their memory for
+    write past it, growth moves the layer to a new buffer, and
+    :meth:`release` drops the buffers without handing their memory to
     another sequence, so an in-flight read can never alias someone else's
     K/V.  A released sequence rejects further use.
     """
 
-    __slots__ = ("arena", "pages", "_lengths", "_keys", "_values", "_released")
+    __slots__ = ("arena", "pages", "_layers", "_released")
 
     def __init__(self, arena: PagedKVArena):
         self.arena = arena
         self.pages: list[int] = []
-        self._lengths = [0] * arena.num_layers
-        self._keys: list[np.ndarray | None] = [None] * arena.num_layers
-        self._values: list[np.ndarray | None] = [None] * arena.num_layers
+        self._layers = [KVState() for _ in range(arena.num_layers)]
         self._released = False
 
     @property
     def length(self) -> int:
         """Cached positions of the first layer (layers advance in lockstep)."""
-        return self._lengths[0]
+        return self._layers[0].length
 
     @property
     def released(self) -> bool:
@@ -391,34 +387,20 @@ class PagedSequence:
                 f"(1, {arena.num_heads}, steps, {arena.head_dim})"
             )
         arena._check_dtype(k.dtype)
-        position = self._lengths[layer]
-        end = position + k.shape[2]
-        needed = -(-end // arena.page_size)  # ceil division
+        state = self._layers[layer]
+        needed = -(-(state.length + k.shape[2]) // arena.page_size)  # ceil division
         while len(self.pages) < needed:
             self.pages.append(arena._allocate_page())
-        keys, values = self._keys[layer], self._values[layer]
-        capacity = len(self.pages) * arena.page_size
-        if keys is None or keys.shape[1] < capacity:
-            shape = (arena.num_heads, capacity, arena.head_dim)
-            grown_k = np.empty(shape, dtype=k.dtype)
-            grown_v = np.empty(shape, dtype=k.dtype)
-            if position:
-                grown_k[:, :position] = keys[:, :position]
-                grown_v[:, :position] = values[:, :position]
-            self._keys[layer] = keys = grown_k
-            self._values[layer] = values = grown_v
-        keys[:, position:end] = k[0]
-        values[:, position:end] = v[0]
-        self._lengths[layer] = end
+        state.append(k, v)
 
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """``layer``'s live K/V as zero-copy ``(1, heads, length, head_dim)`` slices."""
         if self._released:
             raise ModelConfigError("PagedSequence was released; its pages belong to the arena again")
-        length = self._lengths[layer]
-        if length == 0:
+        state = self._layers[layer]
+        if state.length == 0:
             raise ModelConfigError("cannot view an empty paged sequence; append a step first")
-        return self._keys[layer][None, :, :length], self._values[layer][None, :, :length]
+        return state.k, state.v
 
     def release(self) -> None:
         """Return every page to the arena (idempotent); the sequence is dead after."""
@@ -426,5 +408,5 @@ class PagedSequence:
             self.arena._release_pages(self.pages)
             self.arena._sequences_released += 1
             self.pages = []
-            self._keys, self._values = [], []
+            self._layers = []
             self._released = True

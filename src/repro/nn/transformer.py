@@ -377,8 +377,8 @@ class T5Model(Module):
         while other sequences are mid-decode), call ``step`` to advance every
         live sequence by one token, and collect finished outputs — each
         bitwise-equal to that row's solo ``generate(..., use_cache=False)``
-        decode.  K/V memory comes from a shared
-        :class:`~repro.nn.decode_cache.PagedKVArena` sized ``page_size``.
+        decode.  The K/V budget is accounted in ``page_size`` pages by a shared
+        :class:`~repro.nn.decode_cache.PagedKVArena`.
         """
         return PagedDecodeBatch(self, max_slots=max_slots, page_size=page_size, dtype=dtype)
 
@@ -724,7 +724,7 @@ class PagedDecodeBatch:
             # Every layer of a step attends the same history length per row:
             # the cached positions plus the token being appended now.
             lengths = [slot.sequence.length + 1 for slot in active]
-            biases = [decoder.position_bias.bias_array(1, length, length - 1) for length in lengths]
+            biases = [decoder.position_bias.decode_bias(length) for length in lengths]
             for layer_index, layer in enumerate(decoder.layers):
                 normed = layer.norm_self(hidden)
                 q, k_new, v_new = layer.self_attention.decode_step_qkv(normed)

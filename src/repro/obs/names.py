@@ -86,7 +86,7 @@ METRIC_MEANINGS: dict[str, str] = {
     METRIC_CONTINUOUS_ADMISSION_WAIT_MS: "histogram: ticket submit-to-admission wait, milliseconds",
     METRIC_CONTINUOUS_TOKENS_TOTAL: "counter: tokens emitted by the continuous decode loop",
     METRIC_ARENA_PAGES_IN_USE: "gauge: KV-arena pages currently allocated to open sequences",
-    METRIC_ARENA_PAGE_REUSE_RATIO: "gauge: fraction of page allocations served from the arena free list",
+    METRIC_ARENA_PAGE_REUSE_RATIO: "gauge: fraction of KV-arena page-id allocations served by a released id (budget reuse, not memory)",
 }
 
 #: Derived tuple, analogous to ``ERROR_CODES``.

@@ -6,7 +6,7 @@ so short requests pay for long ones and arrivals wait for the next window.
 This module schedules at *token* granularity instead, vLLM-style: one
 persistent :class:`~repro.nn.transformer.PagedDecodeBatch` per backend model
 admits new sequences into free slots at every decode step and evicts
-finished ones immediately, with K/V memory recycled through the shared
+finished ones immediately, returning their K/V pages to the shared
 :class:`~repro.nn.decode_cache.PagedKVArena`.
 
 **Cooperative driving, no background threads.**  A dedicated decode thread

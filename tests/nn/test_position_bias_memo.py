@@ -1,12 +1,12 @@
-"""The relative-position-bias inference memo and its invalidation.
+"""The decode position-bias memo and its invalidation.
 
-:meth:`RelativePositionBias.bias_array` memoizes bias rows (decode steps)
-and ``(T, T)`` encoder biases in eval mode under ``no_grad``.  The memo sits
-beside the module's reduced-precision weight casts, so it must go stale
-exactly never: train/eval transitions and ``invalidate_cast_caches`` drop
-it, and a reassigned embedding table misses it.  The serving-level
-regression: the continuous loop is kept per model across calls, and it used
-to hold its own bias memo that outlived in-place weight updates.
+:meth:`RelativePositionBias.decode_bias` memoizes the bias row of a decode
+step's newest token in eval mode under ``no_grad``.  The memo sits beside the
+module's reduced-precision weight casts, so it must go stale exactly never:
+train/eval transitions and ``invalidate_cast_caches`` drop it, and a
+reassigned embedding table misses it.  The serving-level regression: the
+continuous loop is kept per model across calls, and it used to hold its own
+bias memo that outlived in-place weight updates.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import attention as attention_module
 from repro.nn.attention import RelativePositionBias
 from repro.nn.tensor import autocast, no_grad
 from repro.serving import continuous_predict_batch
@@ -24,13 +23,13 @@ def fresh_bias(seed=0, bidirectional=False) -> RelativePositionBias:
     return RelativePositionBias(num_heads=3, num_buckets=8, max_distance=16, bidirectional=bidirectional, seed=seed).eval()
 
 
-def unmemoized(module: RelativePositionBias, query_length, key_length, query_offset=0) -> np.ndarray:
-    """The bias computed on the autograd path, which never reads the memo."""
-    module.train()
-    try:
-        return module(query_length, key_length, query_offset).numpy()
-    finally:
-        module.eval()
+def graph_row(module: RelativePositionBias, key_length: int) -> np.ndarray:
+    """The newest token's bias row from :meth:`forward`, which never reads the memo."""
+    return module(1, key_length, key_length - 1).numpy()
+
+
+def memo_slots(module: RelativePositionBias) -> list[str]:
+    return [slot for slot in module.__dict__.get("_cast_cache", {}) if slot.startswith("decode_bias")]
 
 
 class TestBiasMemo:
@@ -38,77 +37,68 @@ class TestBiasMemo:
     def test_memo_matches_graph_lookup_bitwise(self, bidirectional):
         module = fresh_bias(seed=3, bidirectional=bidirectional)
         with no_grad():
-            for args in ((1, 9, 8), (5, 5, 0), (1, 1, 0)):
-                first = module.bias_array(*args)
-                assert module.bias_array(*args) is first  # memo hit
-                np.testing.assert_array_equal(first, unmemoized(module, *args))
-                np.testing.assert_array_equal(module(*args).numpy(), first)
+            for key_length in (9, 1, 5, 40, 9, 17):  # grows the memo and slices it back
+                row = module.decode_bias(key_length)
+                assert row.shape == (1, 3, 1, key_length)
+                np.testing.assert_array_equal(row, graph_row(module, key_length))
+        assert memo_slots(module) == ["decode_bias.float64"]
+
+    def test_memo_keeps_one_row_per_dtype(self):
+        module = fresh_bias()
+        with no_grad():
+            rows = [module.decode_bias(length) for length in range(1, 101)]
+            assert all(np.shares_memory(row, rows[-1]) for row in rows[-10:])  # slices of one row
+        (source, row) = module._cast_cache["decode_bias.float64"]
+        assert source is module.embedding.data and 100 <= row.shape[-1] < 200
 
     def test_float32_memo_is_separate_and_cast(self):
         module = fresh_bias()
         with no_grad():
-            wide = module.bias_array(1, 6, 5)
+            wide = module.decode_bias(6)
             with autocast("float32"):
-                narrow = module.bias_array(1, 6, 5)
+                narrow = module.decode_bias(6)
         assert wide.dtype == np.float64 and narrow.dtype == np.float32
         np.testing.assert_array_equal(narrow, wide.astype(np.float32))
+        assert sorted(memo_slots(module)) == ["decode_bias.float32", "decode_bias.float64"]
 
     def test_not_memoized_with_grad_or_in_training(self):
         module = fresh_bias()
-        first = module.bias_array(1, 4, 3)  # grad enabled
-        assert module.bias_array(1, 4, 3) is not first
+        np.testing.assert_array_equal(module.decode_bias(4), graph_row(module, 4))  # grad enabled
         module.train()
         with no_grad():
-            assert module.bias_array(1, 4, 3) is not module.bias_array(1, 4, 3)
+            module.decode_bias(4)
+        assert memo_slots(module) == []
 
     def test_in_place_update_then_mode_transition_drops_memo(self):
         module = fresh_bias(seed=1)
         with no_grad():
-            stale = module.bias_array(1, 7, 6).copy()
+            stale = module.decode_bias(7).copy()
         module.train()
         module.embedding.data += 1.0  # an optimizer step mutates in place
         module.eval()
         with no_grad():
-            fresh = module.bias_array(1, 7, 6)
+            fresh = module.decode_bias(7)
         np.testing.assert_array_equal(fresh, stale + 1.0)
 
     def test_invalidate_cast_caches_drops_memo(self):
         module = fresh_bias(seed=2)
         with no_grad():
-            stale = module.bias_array(3, 3).copy()
+            stale = module.decode_bias(3).copy()
             module.embedding.data *= 2.0  # eval-mode in-place edit
             module.invalidate_cast_caches()
-            np.testing.assert_array_equal(module.bias_array(3, 3), stale * 2.0)
+            np.testing.assert_array_equal(module.decode_bias(3), stale * 2.0)
 
     def test_reassigned_table_misses_memo(self):
         module = fresh_bias(seed=4)
         with no_grad():
-            module.bias_array(1, 5, 4)
+            module.decode_bias(5)
             module.embedding.data = module.embedding.data + 0.5  # load_state_dict-style swap
-            np.testing.assert_array_equal(module.bias_array(1, 5, 4), unmemoized(module, 1, 5, 4))
-
-    def test_memo_stays_within_its_byte_budget(self, monkeypatch):
-        module = fresh_bias()
-        entry_bytes = module.bias_array(6, 6).nbytes  # computed outside no_grad: not memoized
-        monkeypatch.setattr(attention_module, "BIAS_MEMO_BYTES", 3 * entry_bytes)
-        with no_grad():
-            for length in range(6, 12):
-                module.bias_array(length, length)
-            newest = module.bias_array(11, 11)
-            assert module.bias_array(11, 11) is newest  # the newest entry survives eviction
-        entries = module._cast_cache["position_bias"][1]
-        assert sum(entry.nbytes for entry in entries.values()) <= 3 * entry_bytes + newest.nbytes
-        assert (6, 6, 0, np.dtype(np.float64)) not in entries  # oldest out first
+            np.testing.assert_array_equal(module.decode_bias(5), graph_row(module, 5))
 
 
 def reference_outputs(backend, sources, max_length):
-    """The ``use_cache=False`` oracle on a fresh weight-identical twin.
-
-    The twin has never served, so no memo of any kind can be stale in it.
-    """
-    twin = backend.clone_architecture()
-    twin.copy_weights_from(backend)
-    return twin.predict_batch(sources, max_length=max_length, use_cache=False)
+    """The ``use_cache=False`` oracle, which reads no memo."""
+    return backend.predict_batch(sources, max_length=max_length, use_cache=False)
 
 
 class TestServingAfterWeightUpdates:
@@ -144,7 +134,7 @@ class TestServingAfterWeightUpdates:
         assert continuous_predict_batch(backend, sources, max_length=8) == reference_outputs(backend, sources, 8)
         position_bias = backend.model.decoder.position_bias
         with no_grad():
-            served = position_bias.bias_array(1, 8, 7)  # the row step 8 read
+            served = position_bias.decode_bias(8)  # the row step 8 read
         relative = np.arange(8)[None, :] - 7
         table = position_bias.embedding.data[position_bias._bucket(relative)]
         np.testing.assert_array_equal(served[0, :, 0, :], table[0].T)
